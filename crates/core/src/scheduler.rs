@@ -41,8 +41,8 @@ pub struct PolicyView<'a> {
 /// A memory-scheduling policy. See the module docs.
 ///
 /// `Send` is a supertrait so a controller (which owns its policy boxed)
-/// can migrate to a channel-sharding worker thread between CPU sync
-/// points; policies hold only plain per-channel state.
+/// can move between threads; policies hold only plain per-channel
+/// state.
 pub trait SchedulerPolicy: fmt::Debug + Send {
     /// Short policy name for reports (e.g. `"NUAT"`).
     fn name(&self) -> &'static str;

@@ -12,10 +12,50 @@
 //! * Reads occupy their ROB slot until the controller returns data;
 //!   because retirement is in-order, a pending read at the ROB head
 //!   stalls the core — this is how DRAM latency becomes execution time.
+//!
+//! ## The timeline engine
+//!
+//! Each CPU cycle the core first retires, in order, up to
+//! `retire_width` instructions whose results are ready, then fetches,
+//! in order, up to `fetch_width` instructions while the ROB has room
+//! and the memory system accepts the next memory operation. Rather than
+//! replay that cycle by cycle, the core computes each instruction's
+//! fetch cycle `f_i` and retire cycle `r_i` directly (`w_f`, `w_r` the
+//! widths, `R` the ROB size):
+//!
+//! ```text
+//! f_i = max(f_{i-1}, f_{i-w_f} + 1, r_{i-R}, admission cycle if a memory op)
+//! r_i = max(r_{i-1}, r_{i-w_r} + 1, f_i + 1, ready_i)
+//! ready_i = f_i + pipeline_depth    (non-memory ops and posted writes)
+//!         = the read's delivery cycle (reads)
+//! ```
+//!
+//! Each term is one of the per-cycle rules: fetch is in order
+//! (`f_{i-1}`), takes at most `w_f` per cycle (the instruction `w_f`
+//! places earlier must have been fetched in an earlier cycle), and
+//! needs a ROB slot after that cycle's retirement (`r_{i-R} <= f_i`);
+//! retirement is in order, at most `w_r` per cycle, and comes before
+//! fetch within a cycle, so an instruction retires no earlier than the
+//! cycle after its fetch. Every rule is monotone and the per-cycle core
+//! acts at the first cycle all of them allow, so the maxima are exact.
+//! The values live in a ring of the last `max(R + w_r, w_f)`
+//! instructions and are evaluated lazily, up to the next undelivered
+//! read or the next memory record awaiting admission. The core's
+//! finish is `r_{N-1}`, and its stall count (cycles with no
+//! retirement before it finished) is `r_{N-1} + 1` minus the number of
+//! distinct retire cycles.
+//!
+//! Two interfaces advance the engine:
+//!
+//! * the per-cycle interface, [`Core::tick`], which probes the memory port
+//!   every cycle exactly as a cycle-stepped ROB would; and
+//! * the event interface used by the system calendar,
+//!   [`Core::next_probe`] / [`Core::admit`], which asks for the one
+//!   cycle at which the next memory record can be fetched and costs
+//!   nothing for the cycles in between.
 
 use crate::trace::{MemOp, Trace};
 use nuat_types::{CpuCycle, PhysAddr, ProcessorConfig};
-use std::collections::VecDeque;
 
 /// The memory system as seen by a core. Implemented by the simulator
 /// around `nuat_core::MemoryController`.
@@ -30,12 +70,23 @@ pub trait MemoryPort {
     fn submit(&mut self, core: usize, op: MemOp, addr: PhysAddr) -> u64;
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RobEntry {
-    /// Completes at the given CPU cycle.
-    Done(CpuCycle),
-    /// Waiting for read data (token from the memory port).
-    WaitingRead(u64),
+/// The ready cycle of an undelivered read.
+const PENDING: u64 = u64::MAX;
+
+/// The fetch rule: `f_i` from the previous fetch, the fetch
+/// `fetch_width` places earlier (`u64::MAX` before the first, which
+/// wraps to no bound) and the retirement `rob_size` places earlier.
+#[inline(always)]
+fn fetch_rule(last_fetch: u64, width_fetch: u64, rob_retire: u64) -> u64 {
+    last_fetch.max(width_fetch.wrapping_add(1)).max(rob_retire)
+}
+
+/// The retire rule: `r_i` from the instruction's ready and fetch
+/// cycles, the previous retirement and the retirement `retire_width`
+/// places earlier.
+#[inline(always)]
+fn retire_rule(ready: u64, fetch: u64, last_retire: u64, width_retire: u64) -> u64 {
+    ready.max(fetch + 1).max(last_retire).max(width_retire + 1)
 }
 
 /// One trace-driven core.
@@ -44,18 +95,41 @@ pub struct Core {
     id: usize,
     cfg: ProcessorConfig,
     trace: Trace,
+    total: u64,
     next_record: usize,
     /// Non-memory instructions still to fetch before the next record's
     /// memory operation (or before the end, for the tail gap).
     gap_remaining: u32,
+    /// Fetch cycle of instruction `i` at `fetch[i & mask]`. Slots not
+    /// written yet hold `u64::MAX`, so the fetch-width bound of the
+    /// first instructions wraps to 0.
+    fetch: Box<[u64]>,
+    /// Retire cycle of instruction `i` at `retire[i & mask]` once it is
+    /// resolved; until then its ready cycle ([`PENDING`] for an
+    /// undelivered read). Slots not written yet hold 0.
+    retire: Box<[u64]>,
+    mask: u64,
+    /// Instructions with a fetch cycle.
     fetched: u64,
+    /// Instructions with a retire cycle (a prefix of the fetched ones).
+    resolved: u64,
+    /// Fetch cycle of the last fetched instruction.
+    last_fetch: u64,
+    /// Retire cycle of the last resolved instruction.
+    last_retire: u64,
+    /// Distinct retire cycles among the resolved instructions.
+    retire_cycles: u64,
+    /// Undelivered reads: `(token, instruction index)`.
+    reads: Vec<(u64, u64)>,
+    /// Observation cursor: retirements before this cycle are counted in
+    /// `retired` / `seen_cycles`.
+    now: u64,
     retired: u64,
-    total: u64,
-    rob: VecDeque<RobEntry>,
-    /// CPU cycle at which the final instruction retired.
-    finished_at: Option<CpuCycle>,
-    /// Cycles in which retirement made no progress while work remained.
-    stall_cycles: u64,
+    seen_cycles: u64,
+    seen_last: u64,
+    /// Per-cycle interface: no retirement or fetch can happen before this
+    /// cycle unless a read is delivered first.
+    idle_until: u64,
 }
 
 impl Core {
@@ -67,18 +141,32 @@ impl Core {
             .map(|r| r.gap)
             .unwrap_or_else(|| trace.tail_gap());
         let total = trace.total_instructions();
+        // The oldest unresolved instruction is at most `rob_size` behind
+        // the next fetch and looks `retire_width` further back.
+        let cap = (cfg.rob_size + cfg.retire_width)
+            .max(cfg.fetch_width)
+            .next_power_of_two();
         Core {
             id,
             cfg,
             trace,
+            total,
             next_record: 0,
             gap_remaining,
+            fetch: vec![u64::MAX; cap].into_boxed_slice(),
+            retire: vec![0; cap].into_boxed_slice(),
+            mask: cap as u64 - 1,
             fetched: 0,
+            resolved: 0,
+            last_fetch: 0,
+            last_retire: 0,
+            retire_cycles: 0,
+            reads: Vec::new(),
+            now: 0,
             retired: 0,
-            total,
-            rob: VecDeque::with_capacity(cfg.rob_size),
-            finished_at: None,
-            stall_cycles: 0,
+            seen_cycles: 0,
+            seen_last: 0,
+            idle_until: 0,
         }
     }
 
@@ -87,7 +175,9 @@ impl Core {
         self.id
     }
 
-    /// Instructions retired so far.
+    /// Instructions retired so far: through the last [`tick`](Self::tick)
+    /// under the per-cycle interface, through the computed timeline under
+    /// the event interface.
     pub fn retired(&self) -> u64 {
         self.retired
     }
@@ -102,181 +192,314 @@ impl Core {
         self.retired == self.total
     }
 
-    /// CPU cycle the last instruction retired, if finished.
+    /// CPU cycle the last instruction retired, if finished (cycle 0 for
+    /// an empty trace).
     pub fn finished_at(&self) -> Option<CpuCycle> {
-        self.finished_at
+        self.is_done().then(|| CpuCycle::new(self.last_retire))
+    }
+
+    /// The cycle the last instruction retires, as soon as the timeline
+    /// determines it — possibly ahead of the caller's clock (cycle 0
+    /// for an empty trace).
+    pub fn finish_cycle(&self) -> Option<CpuCycle> {
+        (self.resolved == self.total).then(|| CpuCycle::new(self.last_retire))
     }
 
     /// Cycles in which no instruction retired while the core was not
-    /// done (a coarse memory-stall indicator).
+    /// done (a coarse memory-stall indicator), counted like
+    /// [`retired`](Self::retired).
     pub fn stall_cycles(&self) -> u64 {
-        self.stall_cycles
-    }
-
-    /// How many CPU cycles from `now` this core is provably inert —
-    /// neither retiring nor fetching — assuming the memory system stays
-    /// frozen (no completions delivered, no queue slot freed). Returns
-    /// `u64::MAX` when only a memory event can wake the core: finished,
-    /// head-of-ROB read outstanding, or fetch blocked on a full queue.
-    /// Returns 0 when the very next [`tick`](Self::tick) makes progress.
-    ///
-    /// Used by the system loop to bulk-skip cycles in which both the
-    /// controller and every core are dead; across such a span the only
-    /// state `tick` would change is the stall counter (see
-    /// [`advance_stalled`](Self::advance_stalled)).
-    pub fn quiescent_cycles(
-        &self,
-        now: CpuCycle,
-        can_accept: impl Fn(MemOp, PhysAddr) -> bool,
-    ) -> u64 {
-        self.next_wake(now, can_accept).0
-    }
-
-    /// The event-calendar form of [`quiescent_cycles`]: returns the
-    /// inert span plus whether that span assumed the next trace record
-    /// was rejected by `can_accept` (a full memory queue). The caller
-    /// may cache `now + span` as this core's wake entry and substitute
-    /// [`advance_stalled`](Self::advance_stalled) for [`tick`] until it
-    /// expires, provided it discards the entry when a completion is
-    /// delivered to this core — and, when the flag is set, whenever any
-    /// controller frees a queue slot (the release could re-admit the
-    /// fetch before both the retire bound and the cached span elapse).
-    pub fn next_wake(
-        &self,
-        now: CpuCycle,
-        can_accept: impl Fn(MemOp, PhysAddr) -> bool,
-    ) -> (u64, bool) {
-        if self.is_done() {
-            return (u64::MAX, false);
-        }
-        // Retire side: only the ROB head can unblock by itself, at its
-        // recorded completion time.
-        let retire = match self.rob.front() {
-            Some(RobEntry::Done(t)) => {
-                if *t <= now {
-                    return (0, false);
-                }
-                t.raw() - now.raw()
-            }
-            Some(RobEntry::WaitingRead(_)) | None => u64::MAX,
+        let end = match self.finished_at() {
+            Some(_) if self.total == 0 => 0,
+            Some(f) => f.raw() + 1,
+            None => self.now,
         };
-        // Fetch side: progresses immediately unless structurally
-        // blocked. A full ROB reopens only after a retirement, which
-        // the retire bound already caps.
-        let mut queue_blocked = false;
-        let fetch = if self.fetched == self.total || self.rob.len() == self.cfg.rob_size {
-            u64::MAX
-        } else if self.gap_remaining > 0 {
-            0
-        } else if let Some(rec) = self.trace.records().get(self.next_record) {
-            if can_accept(rec.op, rec.addr) {
-                0
-            } else {
-                queue_blocked = true;
-                u64::MAX
-            }
-        } else {
-            u64::MAX
-        };
-        (retire.min(fetch), queue_blocked)
+        end - self.seen_cycles
     }
 
-    /// Bulk-advances an inert span in one step. The caller guarantees
-    /// `cycles <= quiescent_cycles(now, ..)`; under that contract each
-    /// skipped `tick` would have done nothing except count one
-    /// retirement stall, so that is the only state updated here.
-    pub fn advance_stalled(&mut self, cycles: u64) {
-        if !self.is_done() {
-            self.stall_cycles += cycles;
-        }
-    }
-
-    /// Delivers read data for `token` (from [`MemoryPort::submit`]).
+    /// Delivers read data for `token` (from [`MemoryPort::submit`] or
+    /// the token passed to [`admit`](Self::admit)) at cycle `now`: the
+    /// read can retire from `now` on.
     pub fn complete_read(&mut self, token: u64, now: CpuCycle) {
-        for e in self.rob.iter_mut() {
-            if *e == RobEntry::WaitingRead(token) {
-                *e = RobEntry::Done(now);
-                return;
-            }
-        }
-        // A completion for an unknown token indicates a wiring bug.
-        panic!(
-            "core {}: read completion for unknown token {token}",
-            self.id
-        );
+        let Some(k) = self.reads.iter().position(|&(t, _)| t == token) else {
+            // A completion for an unknown token indicates a wiring bug.
+            panic!(
+                "core {}: read completion for unknown token {token}",
+                self.id
+            );
+        };
+        let (_, i) = self.reads.swap_remove(k);
+        let k = self.at(i);
+        self.retire[k] = now.raw();
+        self.idle_until = 0;
     }
 
-    /// Advances one CPU cycle: retire, then fetch. Returns whether any
-    /// instruction retired or fetched — a `false` tick changed nothing
-    /// but the stall counter, which tells an event-driven caller this
-    /// core just went inert and its [`next_wake`](Self::next_wake) span
-    /// is worth computing and caching.
+    /// Event interface: the next memory record awaiting admission and the
+    /// earliest cycle the core can fetch it, or `None` while that cycle
+    /// still depends on an undelivered read, or when no record is left.
+    /// The caller probes the memory system at that cycle (or, after a
+    /// rejection, at the first cycle a queue slot could have freed) and
+    /// reports acceptance through [`admit`](Self::admit).
+    pub fn next_probe(&mut self) -> Option<(CpuCycle, MemOp, PhysAddr)> {
+        self.resolve();
+        self.fetch_compute(0, u64::MAX);
+        if self.resolved > 0 {
+            self.observe(self.last_retire + 1);
+        }
+        if self.gap_remaining > 0 {
+            return None;
+        }
+        let rec = *self.trace.records().get(self.next_record)?;
+        let at = self.fetch_bound()?;
+        Some((CpuCycle::new(at), rec.op, rec.addr))
+    }
+
+    /// Fetches the memory record [`next_probe`](Self::next_probe)
+    /// announced, at cycle `at` (no earlier than the announced cycle):
+    /// the memory system accepted it as request `token`.
+    pub fn admit(&mut self, at: CpuCycle, token: u64) {
+        let rec = self.trace.records()[self.next_record];
+        let at = at.raw();
+        debug_assert!(self.fetch_bound().is_some_and(|b| b <= at));
+        let ready = match rec.op {
+            MemOp::Read => {
+                self.reads.push((token, self.fetched));
+                PENDING
+            }
+            MemOp::Write => at + self.cfg.pipeline_depth,
+        };
+        self.push(at, ready);
+        self.next_record += 1;
+        self.gap_remaining = self
+            .trace
+            .records()
+            .get(self.next_record)
+            .map(|r| r.gap)
+            .unwrap_or_else(|| self.trace.tail_gap());
+    }
+
+    /// Per-cycle interface: advances one CPU cycle — retire, then fetch,
+    /// probing `port` for the next memory operation. Call it for
+    /// consecutive cycles from 0. Returns whether any instruction
+    /// retired or fetched.
     ///
     /// Generic over the port (rather than `&mut dyn`) so the per-cycle
-    /// admission checks and submits inline into the system loop.
+    /// admission checks and submits inline into the caller's loop.
     pub fn tick(&mut self, now: CpuCycle, port: &mut impl MemoryPort) -> bool {
+        let t = now.raw();
         if self.is_done() {
             return false;
         }
-        let before = self.retired + self.fetched;
-        self.retire(now);
-        self.fetch(now, port);
-        if self.is_done() && self.finished_at.is_none() {
-            self.finished_at = Some(now);
+        if t < self.idle_until {
+            // A stall cycle: only the clock moves.
+            self.now = t + 1;
+            return false;
         }
-        self.retired + self.fetched > before
-    }
-
-    fn retire(&mut self, now: CpuCycle) {
-        let mut n = 0;
-        while n < self.cfg.retire_width {
-            match self.rob.front() {
-                Some(RobEntry::Done(t)) if *t <= now => {
-                    self.rob.pop_front();
-                    self.retired += 1;
-                    n += 1;
-                }
-                _ => break,
-            }
-        }
-        if n == 0 && !self.is_done() {
-            self.stall_cycles += 1;
-        }
-    }
-
-    fn fetch(&mut self, now: CpuCycle, port: &mut impl MemoryPort) {
-        let done_at = now + self.cfg.pipeline_depth;
-        for _ in 0..self.cfg.fetch_width {
-            if self.fetched == self.total || self.rob.len() == self.cfg.rob_size {
-                return;
-            }
+        let (before_retire, before_fetch) = (self.retired, self.fetched);
+        self.resolve();
+        self.observe(t + 1);
+        let mut rejected = false;
+        loop {
+            self.fetch_compute(t, t);
             if self.gap_remaining > 0 {
-                self.gap_remaining -= 1;
-                self.rob.push_back(RobEntry::Done(done_at));
-                self.fetched += 1;
-                continue;
+                break;
             }
             let Some(rec) = self.trace.records().get(self.next_record).copied() else {
-                // Only the tail gap remains and it is exhausted.
-                return;
+                break;
             };
+            if self.fetch_bound().is_none_or(|b| b > t) {
+                break;
+            }
             if !port.can_accept(rec.op, rec.addr) {
-                return; // structural stall: queue full
+                rejected = true;
+                break;
             }
             let token = port.submit(self.id, rec.op, rec.addr);
-            match rec.op {
-                MemOp::Read => self.rob.push_back(RobEntry::WaitingRead(token)),
-                MemOp::Write => self.rob.push_back(RobEntry::Done(done_at)),
-            }
-            self.fetched += 1;
-            self.next_record += 1;
-            self.gap_remaining = self
-                .trace
-                .records()
-                .get(self.next_record)
-                .map(|r| r.gap)
-                .unwrap_or_else(|| self.trace.tail_gap());
+            self.admit(now, token);
         }
+        // The next cycle this core acts on its own: its next retirement
+        // or fetch. After a fetch the next cycle may fetch again, and a
+        // rejected record is retried every cycle.
+        self.idle_until = if rejected || self.fetched > before_fetch {
+            0
+        } else {
+            let retire = if self.retired < self.resolved {
+                self.retire[self.at(self.retired)]
+            } else {
+                u64::MAX
+            };
+            let fetch = if self.fetched < self.total {
+                self.fetch_bound().unwrap_or(u64::MAX)
+            } else {
+                u64::MAX
+            };
+            retire.min(fetch)
+        };
+        self.retired > before_retire || self.fetched > before_fetch
+    }
+
+    fn at(&self, i: u64) -> usize {
+        (i & self.mask) as usize
+    }
+
+    /// Earliest fetch cycle of the next instruction ignoring admission,
+    /// or `None` while it waits on an unresolved ROB slot.
+    fn fetch_bound(&mut self) -> Option<u64> {
+        let i = self.fetched;
+        let j = i.wrapping_sub(self.cfg.rob_size as u64);
+        if i >= self.cfg.rob_size as u64 && j >= self.resolved {
+            self.resolve();
+            if j >= self.resolved {
+                return None;
+            }
+        }
+        let width = self.fetch[self.at(i.wrapping_sub(self.cfg.fetch_width as u64))];
+        Some(fetch_rule(self.last_fetch, width, self.retire[self.at(j)]))
+    }
+
+    /// Fetches the non-memory instructions before the next memory
+    /// record, each at its bound but no earlier than `floor`, stopping
+    /// at the first whose cycle would pass `limit` or whose ROB bound
+    /// waits on a read. Expects every resolvable retire cycle to be
+    /// resolved. These loops are where the engine spends its time, so
+    /// they keep the state in locals.
+    fn fetch_compute(&mut self, floor: u64, limit: u64) {
+        if self.resolved == self.fetched {
+            self.fetch_resolved(floor, limit);
+        } else {
+            self.fetch_pending(floor, limit);
+        }
+    }
+
+    /// [`fetch_compute`](Self::fetch_compute) while no earlier
+    /// instruction waits on a read: each instruction is retired as it
+    /// is fetched.
+    fn fetch_resolved(&mut self, floor: u64, limit: u64) {
+        let mask = self.mask;
+        let fw = self.cfg.fetch_width as u64;
+        let rob = self.cfg.rob_size as u64;
+        let rw = self.cfg.retire_width as u64;
+        let depth = self.cfg.pipeline_depth;
+        let (fetch, retire) = (&mut self.fetch[..], &mut self.retire[..]);
+        let start = self.fetched;
+        let end = start + u64::from(self.gap_remaining);
+        let (mut last_fetch, mut last_retire) = (self.last_fetch, self.last_retire);
+        let mut cycles = self.retire_cycles;
+        let mut i = start;
+        while i < end {
+            let width = fetch[(i.wrapping_sub(fw) & mask) as usize];
+            let rob_retire = retire[(i.wrapping_sub(rob) & mask) as usize];
+            let at = fetch_rule(last_fetch, width, rob_retire).max(floor);
+            if at > limit {
+                break;
+            }
+            let width = retire[(i.wrapping_sub(rw) & mask) as usize];
+            let r = retire_rule(at + depth, at, last_retire, width);
+            cycles += u64::from(r != last_retire);
+            fetch[(i & mask) as usize] = at;
+            retire[(i & mask) as usize] = r;
+            last_fetch = at;
+            last_retire = r;
+            i += 1;
+        }
+        self.gap_remaining -= (i - start) as u32;
+        self.fetched = i;
+        self.resolved = i;
+        self.last_fetch = last_fetch;
+        self.last_retire = last_retire;
+        self.retire_cycles = cycles;
+    }
+
+    /// [`fetch_compute`](Self::fetch_compute) behind an undelivered
+    /// read: instructions are fetched with their ready cycles, to be
+    /// retired by [`resolve`](Self::resolve) after the delivery, up to
+    /// the first whose ROB slot is held by an unresolved instruction.
+    fn fetch_pending(&mut self, floor: u64, limit: u64) {
+        let mask = self.mask;
+        let fw = self.cfg.fetch_width as u64;
+        let rob = self.cfg.rob_size as u64;
+        let depth = self.cfg.pipeline_depth;
+        let (fetch, retire) = (&mut self.fetch[..], &mut self.retire[..]);
+        let start = self.fetched;
+        let end = (start + u64::from(self.gap_remaining)).min(self.resolved + rob);
+        let mut last_fetch = self.last_fetch;
+        let mut i = start;
+        while i < end {
+            let width = fetch[(i.wrapping_sub(fw) & mask) as usize];
+            let rob_retire = retire[(i.wrapping_sub(rob) & mask) as usize];
+            let at = fetch_rule(last_fetch, width, rob_retire).max(floor);
+            if at > limit {
+                break;
+            }
+            fetch[(i & mask) as usize] = at;
+            retire[(i & mask) as usize] = at + depth;
+            last_fetch = at;
+            i += 1;
+        }
+        self.gap_remaining -= (i - start) as u32;
+        self.fetched = i;
+        self.last_fetch = last_fetch;
+    }
+
+    fn push(&mut self, fetch: u64, ready: u64) {
+        let k = self.at(self.fetched);
+        self.fetch[k] = fetch;
+        self.retire[k] = ready;
+        self.last_fetch = fetch;
+        self.fetched += 1;
+        if self.resolved + 1 == self.fetched {
+            // Nothing earlier waits on a read: retire it right away.
+            self.resolve();
+        }
+    }
+
+    /// Computes retire cycles in order up to the first undelivered read.
+    fn resolve(&mut self) {
+        let mask = self.mask;
+        let rw = self.cfg.retire_width as u64;
+        let (fetch, retire) = (&self.fetch[..], &mut self.retire[..]);
+        let mut last_retire = self.last_retire;
+        let mut cycles = self.retire_cycles;
+        let mut i = self.resolved;
+        while i < self.fetched {
+            let k = (i & mask) as usize;
+            let ready = retire[k];
+            if ready == PENDING {
+                break;
+            }
+            let width = retire[(i.wrapping_sub(rw) & mask) as usize];
+            let r = retire_rule(ready, fetch[k], last_retire, width);
+            cycles += u64::from(r != last_retire);
+            retire[k] = r;
+            last_retire = r;
+            i += 1;
+        }
+        self.resolved = i;
+        self.last_retire = last_retire;
+        self.retire_cycles = cycles;
+    }
+
+    /// Counts the retirements before cycle `until`.
+    fn observe(&mut self, until: u64) {
+        if until > self.last_retire {
+            // Every resolved instruction retires before `until`.
+            self.retired = self.resolved;
+            self.seen_cycles = self.retire_cycles;
+            self.seen_last = self.last_retire;
+        } else {
+            while self.retired < self.resolved {
+                let r = self.retire[self.at(self.retired)];
+                if r >= until {
+                    break;
+                }
+                if r != self.seen_last {
+                    self.seen_cycles += 1;
+                    self.seen_last = r;
+                }
+                self.retired += 1;
+            }
+        }
+        self.now = self.now.max(until);
     }
 }
 
@@ -395,8 +618,8 @@ mod tests {
         };
         let mut now = CpuCycle::ZERO;
         while !core.is_done() {
-            assert!(core.rob.len() <= 128);
             core.tick(now, &mut port);
+            assert!(core.fetched - core.retired() <= 128);
             now += 1;
             assert!(now.raw() < 100_000);
         }
@@ -430,6 +653,51 @@ mod tests {
         assert_eq!(port.submitted.len(), 2);
         assert_eq!(port.submitted[0].1, MemOp::Read);
         assert_eq!(port.submitted[1].1, MemOp::Write);
+    }
+
+    #[test]
+    fn event_interface_announces_each_record_at_its_fetch_bound() {
+        // 8 compute instructions at fetch width 4 fill cycles 0 and 1,
+        // so the read is fetched at cycle 2; the write after it shares
+        // that cycle.
+        let trace = Trace::new(
+            vec![
+                TraceRecord {
+                    gap: 8,
+                    op: MemOp::Read,
+                    addr: PhysAddr::new(0x40),
+                },
+                TraceRecord {
+                    gap: 0,
+                    op: MemOp::Write,
+                    addr: PhysAddr::new(0x80),
+                },
+            ],
+            0,
+        );
+        let mut core = Core::new(0, cfg(), trace);
+        let (at, op, _) = core.next_probe().unwrap();
+        assert_eq!((at.raw(), op), (2, MemOp::Read));
+        core.admit(at, 7);
+        let (at, op, _) = core.next_probe().unwrap();
+        assert_eq!((at.raw(), op), (2, MemOp::Write));
+        core.admit(at, 8);
+        assert_eq!(core.next_probe(), None);
+        assert_eq!(core.finish_cycle(), None, "the read is outstanding");
+        core.complete_read(7, CpuCycle::new(100));
+        assert_eq!(core.next_probe(), None);
+        // The read retires at 100 beside the write (retire width 2).
+        assert_eq!(core.finish_cycle(), Some(CpuCycle::new(100)));
+        assert_eq!(core.finished_at(), Some(CpuCycle::new(100)));
+    }
+
+    #[test]
+    fn empty_trace_finishes_at_cycle_zero() {
+        let core = Core::new(0, cfg(), Trace::new(vec![], 0));
+        assert!(core.is_done());
+        assert_eq!(core.finished_at(), Some(CpuCycle::ZERO));
+        assert_eq!(core.finish_cycle(), Some(CpuCycle::ZERO));
+        assert_eq!(core.stall_cycles(), 0);
     }
 
     #[test]

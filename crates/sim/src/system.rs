@@ -1,44 +1,50 @@
 //! Full-system wiring: N trace-driven cores sharing one memory
-//! controller, clocked at the paper's 4:1 CPU-to-memory ratio.
+//! controller per channel, clocked at the paper's 4:1 CPU-to-memory
+//! ratio.
+//!
+//! [`System::run`] drives the cores and controllers from one event
+//! calendar (DESIGN.md §7 "Unified event calendar"). A core is computed
+//! by its timeline engine ([`Core::next_probe`]) and only meets the
+//! memory system at three kinds of event: its next admission probe,
+//! ordered by (CPU cycle, core index) as the per-cycle loop would visit
+//! it, and re-probed after a queue slot frees when it was rejected;
+//! a completion delivery; and a controller full tick, whose cycle the
+//! controllers' busy horizon gives. Between events the controllers
+//! advance in bulk and a core that is only computing costs nothing.
+//! [`System::step`] keeps the per-cycle loop: every core ticks each
+//! CPU cycle and every controller each memory cycle.
 
-use crate::parallel::{channel_worker_count, SpinBarrier};
 use nuat_circuit::PbGrouping;
 use nuat_core::{MemoryController, RequestKind, SchedulerKind};
 use nuat_cpu::{Core, MemOp, MemoryPort, Trace};
-use nuat_obs::{Counter, MetricsSink, NullMetrics, NullSink, TraceSink};
+use nuat_obs::{clock, Counter, MetricsSink, NullMetrics, NullSink, TraceSink};
 use nuat_types::{CpuCycle, McCycle, PhysAddr, SystemConfig, CPU_CYCLES_PER_MC_CYCLE};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
 
 /// Adapter exposing the channel controllers as the cores'
-/// [`MemoryPort`]. Requests route by the decoded channel; completion
-/// tokens encode `(request id, channel)` so the system can match them
-/// back even though each controller numbers requests independently.
+/// [`MemoryPort`] for the per-cycle loop. Requests route by the decoded
+/// channel; completion tokens encode `(request id, channel)` so the
+/// system can match them back even though each controller numbers
+/// requests independently.
 struct Port<'a, S: TraceSink = NullSink, M: MetricsSink = NullMetrics> {
     mcs: &'a mut [MemoryController<S, M>],
     cfg: &'a SystemConfig,
 }
 
-impl<S: TraceSink, M: MetricsSink> Port<'_, S, M> {
-    fn channel_of(&self, addr: PhysAddr) -> usize {
-        // Single-channel systems (the paper's Table 3 configuration)
-        // route everything to controller 0; skip the full address decode
-        // on this per-CPU-cycle admission path.
-        if self.mcs.len() == 1 {
-            return 0;
-        }
-        self.cfg
-            .dram
-            .geometry
-            .decode(addr, self.cfg.controller.mapping)
-            .channel
-            .index()
-    }
-}
-
 impl<S: TraceSink, M: MetricsSink> MemoryPort for Port<'_, S, M> {
     fn can_accept(&self, op: MemOp, addr: PhysAddr) -> bool {
-        self.mcs[self.channel_of(addr)].can_accept(kind_of(op))
+        // Single-channel systems (the paper's Table 3 configuration)
+        // route everything to controller 0 without a decode.
+        let ch = if self.mcs.len() == 1 {
+            0
+        } else {
+            self.cfg
+                .dram
+                .geometry
+                .decode(addr, self.cfg.controller.mapping)
+                .channel
+                .index()
+        };
+        self.mcs[ch].can_accept(kind_of(op))
     }
 
     fn submit(&mut self, core: usize, op: MemOp, addr: PhysAddr) -> u64 {
@@ -58,52 +64,52 @@ fn token(id: u64, channel: usize, channels: usize) -> u64 {
     id * channels as u64 + channel as u64
 }
 
-/// [`MemoryPort`] over mutex-cells, for the channel-sharded run loop:
-/// the controllers live in per-channel `Mutex<&mut _>` cells so worker
-/// threads can tick them, and the CPU phase (which runs on the main
-/// thread while every worker is parked at the phase barrier) locks the
-/// target channel per operation. The locks are uncontended by
-/// construction — phases never overlap — so each is one atomic
-/// exchange, and the port behaves identically to [`Port`].
-struct ShardedPort<'a, 'm, S: TraceSink, M: MetricsSink> {
-    cells: &'a [Mutex<&'m mut MemoryController<S, M>>],
-    cfg: &'a SystemConfig,
-}
-
-impl<S: TraceSink, M: MetricsSink> MemoryPort for ShardedPort<'_, '_, S, M> {
-    fn can_accept(&self, op: MemOp, addr: PhysAddr) -> bool {
-        let ch = self
-            .cfg
-            .dram
-            .geometry
-            .decode(addr, self.cfg.controller.mapping)
-            .channel
-            .index();
-        self.cells[ch]
-            .lock()
-            .expect("no prior panic holding a channel cell")
-            .can_accept(kind_of(op))
-    }
-
-    fn submit(&mut self, core: usize, op: MemOp, addr: PhysAddr) -> u64 {
-        let decoded = self
-            .cfg
-            .dram
-            .geometry
-            .decode(addr, self.cfg.controller.mapping);
-        let ch = decoded.channel.index();
-        let id = self.cells[ch]
-            .lock()
-            .expect("no prior panic holding a channel cell")
-            .enqueue_decoded(core, kind_of(op), decoded);
-        token(id.0, ch, self.cells.len())
-    }
-}
-
 fn kind_of(op: MemOp) -> RequestKind {
     match op {
         MemOp::Read => RequestKind::Read,
         MemOp::Write => RequestKind::Write,
+    }
+}
+
+/// Index of the probe that comes first: by cycle, then core index (the
+/// per-cycle loop's order). `probes` is never empty.
+fn first_probe(probes: &[Probe]) -> usize {
+    let mut first = 0;
+    for (i, p) in probes.iter().enumerate().skip(1) {
+        if p.at < probes[first].at {
+            first = i;
+        }
+    }
+    first
+}
+
+/// A calendar entry with no event scheduled.
+const NEVER: u64 = u64::MAX;
+
+/// A core's next admission probe on the calendar: the CPU cycle
+/// ([`NEVER`] while none is due) and the memory record to offer.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    at: u64,
+    op: MemOp,
+    addr: PhysAddr,
+}
+
+impl Probe {
+    /// `core`'s next probe, or an entry at [`NEVER`].
+    fn next(core: &mut Core) -> Probe {
+        match core.next_probe() {
+            Some((at, op, addr)) => Probe {
+                at: at.raw(),
+                op,
+                addr,
+            },
+            None => Probe {
+                at: NEVER,
+                op: MemOp::Read,
+                addr: PhysAddr::new(0),
+            },
+        }
     }
 }
 
@@ -155,26 +161,8 @@ pub struct System<S: TraceSink = NullSink, M: MetricsSink = NullMetrics> {
     /// Reused each step to drain controller completions without
     /// allocating a fresh `Vec` per controller per cycle.
     completions_buf: Vec<nuat_core::Completion>,
-    /// Channel-sharding worker override; `None` defers to
-    /// `NUAT_CHANNEL_JOBS` (see [`channel_worker_count`]).
-    channel_workers: Option<usize>,
-    /// Per-core calendar entries for the event-driven loop: the
-    /// absolute CPU cycle before which core `i` is provably inert
-    /// (`Core::next_wake`), or 0 when unknown and the core must be
-    /// ticked for real. Entries are written when a tick reports no
-    /// progress, and discarded when the event they assumed frozen
-    /// fires: a completion delivery to that core, or — for entries
-    /// flagged in `core_wake_qblocked` — any controller freeing a
-    /// queue slot (tracked by the summed release epoch).
-    core_wake: Vec<u64>,
-    /// Whether the matching `core_wake` entry assumed a full queue.
-    core_wake_qblocked: Vec<bool>,
-    /// Sum of `MemoryController::queue_release_epoch` across channels
-    /// at the last invalidation check.
-    release_epoch: u64,
-    /// Event-driven system loop enabled (`NUAT_NO_DES` unset). When
-    /// off, every core is ticked every CPU cycle as before and the
-    /// wake cache stays empty.
+    /// Event calendar enabled (`NUAT_NO_DES` unset). When off, `run`
+    /// steps the per-cycle loop ([`System::step`]).
     des_enabled: bool,
 }
 
@@ -295,30 +283,23 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
             .enumerate()
             .map(|(i, t)| Core::new(i, cfg.processor, t))
             .collect();
-        let n_cores = cores.len();
         System {
             cores,
             mcs,
             cfg,
             cpu_now: CpuCycle::ZERO,
             completions_buf: Vec::new(),
-            channel_workers: None,
-            core_wake: vec![0; n_cores],
-            core_wake_qblocked: vec![false; n_cores],
-            release_epoch: 0,
             des_enabled: std::env::var("NUAT_NO_DES").map_or(true, |v| v.is_empty() || v == "0"),
         }
     }
 
     /// Toggles the event-driven execution mode at runtime for both the
-    /// system loop (core wake calendar) and every channel controller
+    /// system loop (the event calendar) and every channel controller
     /// (`MemoryController::set_des`), overriding the `NUAT_NO_DES`
     /// environment default. A/B correctness tests use this to compare
     /// the event-driven and per-cycle paths in one process.
     pub fn set_des(&mut self, enabled: bool) {
         self.des_enabled = enabled;
-        self.core_wake.fill(0);
-        self.core_wake_qblocked.fill(false);
         for mc in &mut self.mcs {
             mc.set_des(enabled);
         }
@@ -333,15 +314,6 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         for mc in &mut self.mcs {
             mc.set_batch_kernel(enabled);
         }
-    }
-
-    /// Forces the channel-sharding worker count for this run, bypassing
-    /// the `NUAT_CHANNEL_JOBS` environment lookup (tests compare the
-    /// sequential and sharded paths in one process without touching
-    /// process-global state). Clamped to the channel count; `1` means
-    /// the sequential loop.
-    pub fn set_channel_workers(&mut self, workers: usize) {
-        self.channel_workers = Some(workers);
     }
 
     /// The channel-0 controller (for inspection mid-run).
@@ -362,178 +334,70 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         &mut self.mcs
     }
 
-    /// True once every core has retired its trace.
-    pub fn is_done(&self) -> bool {
-        self.cores.iter().all(Core::is_done)
+    /// The cycle `core` retired its last instruction, if it has by now
+    /// (an empty trace is finished at cycle 0).
+    fn finish_by_now(&self, core: &Core) -> Option<u64> {
+        let f = core.finish_cycle()?.raw();
+        (core.total_instructions() == 0 || f < self.cpu_now.raw()).then_some(f)
     }
 
-    /// Advances one memory-controller cycle (four CPU cycles).
-    ///
-    /// In event-driven mode each core's cached wake entry (see
-    /// `core_wake`) replaces provably-inert ticks with the exact
-    /// equivalent stall-counter bump; a tick that makes no progress
-    /// refreshes the entry from [`Core::next_wake`]. The observable
-    /// state after every step is identical to the per-cycle loop —
-    /// within a cached span a tick could only have counted one stall,
-    /// which is exactly what [`Core::advance_stalled`] does.
+    /// True once every core has retired its trace.
+    pub fn is_done(&self) -> bool {
+        self.cores.iter().all(|c| self.finish_by_now(c).is_some())
+    }
+
+    /// Advances one memory-controller cycle (four CPU cycles) the
+    /// per-cycle way: every core ticks each CPU cycle, in core order,
+    /// then every controller ticks and delivers its completions.
     pub fn step(&mut self) {
-        // Queue releases happen only inside the controller ticks at the
-        // end of a step, so checking the summed release epoch here at
-        // the top of the next step catches every slot freed since the
-        // wake entries were cached.
-        if self.des_enabled {
-            let epoch: u64 = self
-                .mcs
-                .iter()
-                .map(MemoryController::queue_release_epoch)
-                .sum();
-            if epoch != self.release_epoch {
-                self.release_epoch = epoch;
-                for (w, qb) in self
-                    .core_wake
-                    .iter_mut()
-                    .zip(self.core_wake_qblocked.iter_mut())
-                {
-                    if *qb {
-                        *w = 0;
-                        *qb = false;
-                    }
-                }
-            }
-        }
         for _ in 0..CPU_CYCLES_PER_MC_CYCLE {
-            for (i, core) in self.cores.iter_mut().enumerate() {
-                // Calendar fast path: the cached bound proves this tick
-                // would change nothing but the stall counter.
-                if self.core_wake[i] > self.cpu_now.raw() {
-                    core.advance_stalled(1);
-                    continue;
-                }
+            for core in &mut self.cores {
                 let mut port = Port {
                     mcs: &mut self.mcs,
                     cfg: &self.cfg,
                 };
-                let progress = core.tick(self.cpu_now, &mut port);
-                if self.des_enabled && !progress {
-                    let mcs = &self.mcs;
-                    let cfg = &self.cfg;
-                    let single = mcs.len() == 1;
-                    let (span, qb) = core.next_wake(self.cpu_now, |op, addr| {
-                        let ch = if single {
-                            0
-                        } else {
-                            cfg.dram
-                                .geometry
-                                .decode(addr, cfg.controller.mapping)
-                                .channel
-                                .index()
-                        };
-                        mcs[ch].can_accept(kind_of(op))
-                    });
-                    if span > 0 {
-                        self.core_wake[i] = self.cpu_now.raw().saturating_add(span);
-                        self.core_wake_qblocked[i] = qb;
-                    }
-                }
+                core.tick(self.cpu_now, &mut port);
             }
             self.cpu_now += 1;
         }
+        self.tick_controllers(|_| {});
+    }
+
+    /// Ticks every controller once and delivers its completions to the
+    /// cores at the current CPU cycle, reporting each receiving core.
+    fn tick_controllers(&mut self, mut delivered: impl FnMut(usize)) {
         let channels = self.mcs.len();
         let mut buf = std::mem::take(&mut self.completions_buf);
         for (ch, mc) in self.mcs.iter_mut().enumerate() {
             mc.tick();
-            let t0 = if M::ENABLED {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
+            let t0 = M::ENABLED.then(clock::now);
             buf.clear();
             mc.drain_completions_into(&mut buf);
             for done in &buf {
                 self.cores[done.request.core]
                     .complete_read(token(done.request.id.0, ch, channels), self.cpu_now);
-                // The wake entry assumed no delivery; recompute next step.
-                self.core_wake[done.request.core] = 0;
-                self.core_wake_qblocked[done.request.core] = false;
+                delivered(done.request.core);
             }
-            if let Some(t) = t0 {
+            if let Some(t0) = t0 {
                 mc.metrics_mut()
-                    .add(Counter::PhaseDrainNanos, t.elapsed().as_nanos() as u64);
+                    .add(Counter::PhaseDrainNanos, clock::now().saturating_sub(t0));
             }
         }
         self.completions_buf = buf;
     }
 
-    fn all_idle(&self) -> bool {
-        self.mcs.iter().all(MemoryController::is_idle)
-    }
-
-    /// Memory-controller cycles (= steps) the whole system can provably
-    /// skip: every controller is inside a dead busy span AND every core
-    /// is inert for the corresponding CPU cycles (stalled on a read,
-    /// blocked on a full queue, or finished). 0 when the next step must
-    /// run for real.
-    ///
-    /// Each controller's contribution (`skippable_cycles`) is its
-    /// cached busy-event horizon, which the ready-set wheel keeps as an
-    /// O(1) peek of the next due bank/refresh key (DESIGN.md §7
-    /// "Incremental ready-set scheduling") — so probing quiescence
-    /// every lockstep iteration costs O(channels), not
-    /// O(channels × banks), in both this sequential loop and the
-    /// sharded barrier loop below.
-    fn quiescent_steps(&self) -> u64 {
-        let mc_span = self
-            .mcs
-            .iter()
-            .map(MemoryController::skippable_cycles)
-            .min()
-            .unwrap_or(0);
-        if mc_span == 0 {
-            return 0;
+    /// Resets every controller's statistics once `warmup_reads` reads
+    /// have completed (`warm` records that it happened).
+    fn warm_up(&mut self, warm: &mut bool, warmup_reads: u64) {
+        if *warm {
+            return;
         }
-        let mut cpu_span = u64::MAX;
-        let single = self.mcs.len() == 1;
-        for (i, core) in self.cores.iter().enumerate() {
-            // Reuse the calendar entry when it is still live: entries
-            // that assumed a full queue are excluded because a release
-            // since caching could have shortened them (the live
-            // `can_accept` probe below is always exact).
-            let cached = if self.core_wake[i] > self.cpu_now.raw() && !self.core_wake_qblocked[i] {
-                self.core_wake[i] - self.cpu_now.raw()
-            } else {
-                core.quiescent_cycles(self.cpu_now, |op, addr| {
-                    let ch = if single {
-                        0
-                    } else {
-                        self.cfg
-                            .dram
-                            .geometry
-                            .decode(addr, self.cfg.controller.mapping)
-                            .channel
-                            .index()
-                    };
-                    self.mcs[ch].can_accept(kind_of(op))
-                })
-            };
-            cpu_span = cpu_span.min(cached);
-            if cpu_span < CPU_CYCLES_PER_MC_CYCLE {
-                return 0;
+        let reads: u64 = self.mcs.iter().map(|m| m.stats().reads_completed).sum();
+        if reads >= warmup_reads {
+            for mc in &mut self.mcs {
+                mc.reset_stats();
             }
-        }
-        mc_span.min(cpu_span / CPU_CYCLES_PER_MC_CYCLE)
-    }
-
-    /// Bulk-advances `n` whole steps of a quiescent span (see
-    /// [`quiescent_steps`](Self::quiescent_steps)): cores accumulate
-    /// stall cycles, controllers bulk-advance their dead span, and no
-    /// requests, commands or completions can occur by construction.
-    fn skip_steps(&mut self, n: u64) {
-        for core in &mut self.cores {
-            core.advance_stalled(CPU_CYCLES_PER_MC_CYCLE * n);
-        }
-        self.cpu_now += CPU_CYCLES_PER_MC_CYCLE * n;
-        for mc in &mut self.mcs {
-            mc.run_for(n);
+            *warm = true;
         }
     }
 
@@ -596,33 +460,13 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
     /// The shared simulation loop: runs to completion or the cap, then
     /// drains the controllers (posted writes).
     fn run_core(&mut self, max_mc_cycles: u64, warmup_reads: u64) {
-        let workers = self
-            .channel_workers
-            .map(|n| n.clamp(1, self.mcs.len().max(1)))
-            .unwrap_or_else(|| channel_worker_count(self.mcs.len()));
-        if workers > 1 {
-            self.run_core_sharded(max_mc_cycles, warmup_reads, workers);
-            return;
-        }
         let mut warm = warmup_reads == 0;
-        while !self.is_done() && self.mc_now() < max_mc_cycles {
-            // Joint dead-span skip: when every controller is timing-
-            // blocked and every core is memory-stalled, the next span of
-            // steps is a provable no-op — cross it in one bulk advance.
-            let span = self.quiescent_steps().min(max_mc_cycles - self.mc_now());
-            if span > 0 {
-                self.skip_steps(span);
-                continue;
-            }
-            self.step();
-            if !warm {
-                let reads: u64 = self.mcs.iter().map(|m| m.stats().reads_completed).sum();
-                if reads >= warmup_reads {
-                    for mc in &mut self.mcs {
-                        mc.reset_stats();
-                    }
-                    warm = true;
-                }
+        if self.des_enabled {
+            self.run_calendar(max_mc_cycles, &mut warm, warmup_reads);
+        } else {
+            while !self.is_done() && self.mc_now() < max_mc_cycles {
+                self.step();
+                self.warm_up(&mut warm, warmup_reads);
             }
         }
         // Post-retirement drain: no new requests arrive, so the only
@@ -630,14 +474,8 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         // decisions. The channels stay in lockstep (idle channels keep
         // refreshing while others drain), so bulk-skip exactly the span
         // every channel agrees is quiet and tick the rest one by one.
-        while !self.all_idle() && self.mc_now() < max_mc_cycles {
-            let span = self
-                .mcs
-                .iter()
-                .map(MemoryController::skippable_cycles)
-                .min()
-                .unwrap_or(0)
-                .min(max_mc_cycles - self.mc_now());
+        while !self.mcs.iter().all(MemoryController::is_idle) && self.mc_now() < max_mc_cycles {
+            let span = self.skippable_cycles().min(max_mc_cycles - self.mc_now());
             if span > 0 {
                 for mc in &mut self.mcs {
                     mc.run_for(span);
@@ -650,299 +488,138 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         }
     }
 
-    /// Channel-sharded variant of [`run_core`](Self::run_core): the
-    /// per-channel controllers tick on `workers` persistent scoped
-    /// threads while the main thread keeps everything else — CPU
-    /// subcycles, completion draining, warmup bookkeeping — exactly
-    /// where the sequential loop runs it. Enabled by `NUAT_CHANNEL_JOBS`
-    /// (see [`channel_worker_count`]).
+    /// Memory cycles every channel agrees are quiet (0 when some
+    /// channel needs a full tick now).
+    fn skippable_cycles(&self) -> u64 {
+        self.mcs
+            .iter()
+            .map(MemoryController::skippable_cycles)
+            .min()
+            .unwrap_or(0)
+    }
+
+    /// The event calendar: the same schedule of admissions, controller
+    /// ticks and deliveries as repeated [`step`](Self::step)s, visiting
+    /// only the memory cycles in which something happens.
     ///
-    /// **Byte-identity argument.** The sequential step interleaves
-    /// `tick(ch)` with `drain(ch)` in channel order; here all ticks run
-    /// first (in parallel) and all drains after (on the main thread, in
-    /// channel order). The reorder is invisible because a tick mutates
-    /// only its own controller — channels share no DRAM state and never
-    /// read the cores — while a drain mutates only the cores and its own
-    /// controller's completion queue. Likewise `run_for` bulk-advances
-    /// are per-channel dead spans with no cross-channel reads. Every
-    /// cross-channel-observable effect (request admission, completion
-    /// delivery, stats reset, aggregation) happens on the main thread in
-    /// the sequential order, so the result — stats, sinks, goldens — is
-    /// byte-identical to `NUAT_CHANNEL_JOBS=1` for any worker count and
-    /// any thread schedule. The determinism guard pins this.
-    ///
-    /// Rendezvous is two [`SpinBarrier`]s per phase (release, join);
-    /// phases never overlap, so the per-channel mutex cells are always
-    /// uncontended and exist only to carry `&mut` access across threads.
-    fn run_core_sharded(&mut self, max_mc_cycles: u64, warmup_reads: u64, workers: usize) {
-        const PH_TICK: u8 = 0;
-        const PH_RUN: u8 = 1;
-        const PH_EXIT: u8 = 2;
-        let channels = self.mcs.len();
-        let cfg = &self.cfg;
-        let cores = &mut self.cores;
-        let des = self.des_enabled;
-        let core_wake = &mut self.core_wake;
-        let core_wake_qblocked = &mut self.core_wake_qblocked;
-        let mut release_epoch = self.release_epoch;
-        let cells: Vec<Mutex<&mut MemoryController<S, M>>> =
-            self.mcs.iter_mut().map(Mutex::new).collect();
-        let lock = |ch: usize| {
-            cells[ch]
-                .lock()
-                .expect("no prior panic holding a channel cell")
-        };
-        let phase = AtomicU8::new(PH_TICK);
-        let span_arg = AtomicU64::new(0);
-        let start = SpinBarrier::new(workers + 1);
-        let done = SpinBarrier::new(workers + 1);
-        let mut cpu_now = self.cpu_now;
-        let mut buf = std::mem::take(&mut self.completions_buf);
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let cells = &cells;
-                let phase = &phase;
-                let span_arg = &span_arg;
-                let start = &start;
-                let done = &done;
-                scope.spawn(move || {
-                    // Barrier-wait accounting: time parked at either
-                    // rendezvous, summed locally (no shared state on the
-                    // hot path) and deposited into this worker's first
-                    // owned channel once at exit. Compiles out entirely
-                    // under `NullMetrics`.
-                    let mut wait_nanos: u64 = 0;
-                    let mut phases: u64 = 0;
-                    loop {
-                        let t0 = if M::ENABLED {
-                            Some(std::time::Instant::now())
-                        } else {
-                            None
-                        };
-                        start.wait();
-                        if let Some(t) = t0 {
-                            wait_nanos += t.elapsed().as_nanos() as u64;
-                        }
-                        let p = phase.load(Ordering::Acquire);
-                        if p == PH_EXIT {
-                            break;
-                        }
-                        if M::ENABLED {
-                            phases += 1;
-                        }
-                        let n = span_arg.load(Ordering::Acquire);
-                        let mut ch = w;
-                        while ch < channels {
-                            let mut mc = cells[ch].lock().expect("no prior panic in a worker");
-                            if p == PH_TICK {
-                                mc.tick();
-                            } else {
-                                mc.run_for(n);
-                            }
-                            ch += workers;
-                        }
-                        let t1 = if M::ENABLED {
-                            Some(std::time::Instant::now())
-                        } else {
-                            None
-                        };
-                        done.wait();
-                        if let Some(t) = t1 {
-                            wait_nanos += t.elapsed().as_nanos() as u64;
-                        }
+    /// Each iteration handles memory cycle `m`. First the admission
+    /// probes due in its CPU cycles `[4m, 4m + 4)`, by (cycle, core
+    /// index) — the order in which the per-cycle loop would offer them,
+    /// and a core's next record can fall in the same cycle. A rejected
+    /// core stays off the calendar until some controller frees a queue
+    /// slot (the summed release epoch moves): admission verdicts change
+    /// only then, and the per-cycle loop's first successful retry is
+    /// the first CPU cycle after that tick. Then the controllers: a full
+    /// tick when one is due (the busy horizon), delivering completions
+    /// at CPU cycle `4(m + 1)` as `step` does; otherwise one bulk
+    /// advance up to the next probe, the horizon, the cycle after the
+    /// last core's finish, or the cap. A controller can only free a
+    /// slot or complete a read in a full tick, so nothing inside a bulk
+    /// advance can reach a core.
+    fn run_calendar(&mut self, max_mc_cycles: u64, warm: &mut bool, warmup_reads: u64) {
+        let n = self.cores.len();
+        let mut probes: Vec<Probe> = self.cores.iter_mut().map(Probe::next).collect();
+        let mut blocked = vec![false; n];
+        let mut delivered = vec![false; n];
+        let mut epoch = self.release_epoch();
+        let mut done_step = self.done_step();
+        while self.mc_now() < done_step.min(max_mc_cycles) {
+            let m = self.mc_now();
+            let end = (m + 1) * CPU_CYCLES_PER_MC_CYCLE;
+            let mut next = first_probe(&probes);
+            while probes[next].at < end {
+                let i = next;
+                if self.try_admit(i, probes[i]) {
+                    probes[i] = Probe::next(&mut self.cores[i]);
+                    if self.cores[i].finish_cycle().is_some() {
+                        done_step = self.done_step();
                     }
-                    if M::ENABLED && w < channels {
-                        // Workers have distinct first channels, and main
-                        // only rejoins the cells after the scope joins,
-                        // so this final deposit is uncontended.
-                        let mut mc = cells[w].lock().expect("no prior panic in a worker");
-                        mc.metrics_mut()
-                            .add(Counter::ShardBarrierWaitNanos, wait_nanos);
-                        mc.metrics_mut().add(Counter::ShardPhases, phases);
-                    }
-                });
-            }
-            // Releases the parked workers into one controller phase and
-            // joins them back before main touches the cells again.
-            let run_phase = |p: u8, n: u64| {
-                phase.store(p, Ordering::Release);
-                span_arg.store(n, Ordering::Release);
-                start.wait();
-                done.wait();
-            };
-            let mc_now = || lock(0).now().raw();
-            let mut warm = warmup_reads == 0;
-            while !cores.iter().all(Core::is_done) && mc_now() < max_mc_cycles {
-                // Joint dead-span skip, as in the sequential loop.
-                let span = {
-                    let mc_span = cells
-                        .iter()
-                        .map(|c| {
-                            c.lock()
-                                .expect("no prior panic holding a channel cell")
-                                .skippable_cycles()
-                        })
-                        .min()
-                        .unwrap_or(0);
-                    let mut span = 0;
-                    if mc_span > 0 {
-                        let mut cpu_span = u64::MAX;
-                        let mut inert = true;
-                        for (i, core) in cores.iter().enumerate() {
-                            // Calendar reuse, as in `quiescent_steps`:
-                            // queue-blocked entries always re-probe.
-                            let c = if core_wake[i] > cpu_now.raw() && !core_wake_qblocked[i] {
-                                core_wake[i] - cpu_now.raw()
-                            } else {
-                                core.quiescent_cycles(cpu_now, |op, addr| {
-                                    let ch = cfg
-                                        .dram
-                                        .geometry
-                                        .decode(addr, cfg.controller.mapping)
-                                        .channel
-                                        .index();
-                                    lock(ch).can_accept(kind_of(op))
-                                })
-                            };
-                            cpu_span = cpu_span.min(c);
-                            if cpu_span < CPU_CYCLES_PER_MC_CYCLE {
-                                inert = false;
-                                break;
-                            }
-                        }
-                        if inert {
-                            span = mc_span.min(cpu_span / CPU_CYCLES_PER_MC_CYCLE);
-                        }
-                    }
-                    span.min(max_mc_cycles - mc_now())
-                };
-                if span > 0 {
-                    for core in cores.iter_mut() {
-                        core.advance_stalled(CPU_CYCLES_PER_MC_CYCLE * span);
-                    }
-                    cpu_now += CPU_CYCLES_PER_MC_CYCLE * span;
-                    run_phase(PH_RUN, span);
-                    continue;
-                }
-                // One step: CPU subcycles on main, ticks on the workers,
-                // completion drain back on main in channel order. Wake
-                // entries work exactly as in the sequential `step`;
-                // the epoch probe locks each (uncontended) cell once.
-                if des {
-                    let epoch: u64 = (0..channels).map(|ch| lock(ch).queue_release_epoch()).sum();
-                    if epoch != release_epoch {
-                        release_epoch = epoch;
-                        for (w, qb) in core_wake.iter_mut().zip(core_wake_qblocked.iter_mut()) {
-                            if *qb {
-                                *w = 0;
-                                *qb = false;
-                            }
-                        }
-                    }
-                }
-                for _ in 0..CPU_CYCLES_PER_MC_CYCLE {
-                    for (i, core) in cores.iter_mut().enumerate() {
-                        if core_wake[i] > cpu_now.raw() {
-                            core.advance_stalled(1);
-                            continue;
-                        }
-                        let mut port = ShardedPort { cells: &cells, cfg };
-                        let progress = core.tick(cpu_now, &mut port);
-                        if des && !progress {
-                            let (span, qb) = core.next_wake(cpu_now, |op, addr| {
-                                let ch = cfg
-                                    .dram
-                                    .geometry
-                                    .decode(addr, cfg.controller.mapping)
-                                    .channel
-                                    .index();
-                                lock(ch).can_accept(kind_of(op))
-                            });
-                            if span > 0 {
-                                core_wake[i] = cpu_now.raw().saturating_add(span);
-                                core_wake_qblocked[i] = qb;
-                            }
-                        }
-                    }
-                    cpu_now += 1;
-                }
-                run_phase(PH_TICK, 0);
-                for (ch, cell) in cells.iter().enumerate() {
-                    let t0 = if M::ENABLED {
-                        Some(std::time::Instant::now())
-                    } else {
-                        None
-                    };
-                    let mut mc = cell.lock().expect("no prior panic holding a channel cell");
-                    buf.clear();
-                    mc.drain_completions_into(&mut buf);
-                    drop(mc);
-                    for done in &buf {
-                        cores[done.request.core]
-                            .complete_read(token(done.request.id.0, ch, channels), cpu_now);
-                        core_wake[done.request.core] = 0;
-                        core_wake_qblocked[done.request.core] = false;
-                    }
-                    if let Some(t) = t0 {
-                        lock(ch)
-                            .metrics_mut()
-                            .add(Counter::PhaseDrainNanos, t.elapsed().as_nanos() as u64);
-                    }
-                }
-                if !warm {
-                    let reads: u64 = cells
-                        .iter()
-                        .map(|c| {
-                            c.lock()
-                                .expect("no prior panic holding a channel cell")
-                                .stats()
-                                .reads_completed
-                        })
-                        .sum();
-                    if reads >= warmup_reads {
-                        for ch in 0..channels {
-                            lock(ch).reset_stats();
-                        }
-                        warm = true;
-                    }
-                }
-            }
-            // Post-retirement drain, sharded the same way.
-            loop {
-                let now = mc_now();
-                if now >= max_mc_cycles {
-                    break;
-                }
-                let idle = cells.iter().all(|c| {
-                    c.lock()
-                        .expect("no prior panic holding a channel cell")
-                        .is_idle()
-                });
-                if idle {
-                    break;
-                }
-                let span = cells
-                    .iter()
-                    .map(|c| {
-                        c.lock()
-                            .expect("no prior panic holding a channel cell")
-                            .skippable_cycles()
-                    })
-                    .min()
-                    .unwrap_or(0)
-                    .min(max_mc_cycles - now);
-                if span > 0 {
-                    run_phase(PH_RUN, span);
                 } else {
-                    run_phase(PH_TICK, 0);
+                    probes[i].at = NEVER;
+                    blocked[i] = true;
                 }
+                next = first_probe(&probes);
             }
-            phase.store(PH_EXIT, Ordering::Release);
-            start.wait();
-        });
-        self.cpu_now = cpu_now;
-        self.completions_buf = buf;
-        self.release_epoch = release_epoch;
+            let span = self.skippable_cycles();
+            if span == 0 {
+                self.cpu_now = CpuCycle::new(end);
+                self.tick_controllers(|c| delivered[c] = true);
+                let now_epoch = self.release_epoch();
+                let released = now_epoch != epoch;
+                epoch = now_epoch;
+                for i in 0..n {
+                    let got_data = std::mem::take(&mut delivered[i]);
+                    if released && blocked[i] {
+                        blocked[i] = false;
+                        probes[i].at = end;
+                    } else if got_data && !blocked[i] && probes[i].at == NEVER {
+                        probes[i] = Probe::next(&mut self.cores[i]);
+                        if self.cores[i].finish_cycle().is_some() {
+                            done_step = self.done_step();
+                        }
+                    }
+                }
+                self.warm_up(warm, warmup_reads);
+            } else {
+                let k = span
+                    .min(probes[next].at / CPU_CYCLES_PER_MC_CYCLE - m)
+                    .min(done_step - m)
+                    .min(max_mc_cycles - m);
+                for mc in &mut self.mcs {
+                    mc.run_for(k);
+                }
+                self.cpu_now = CpuCycle::new((m + k) * CPU_CYCLES_PER_MC_CYCLE);
+            }
+        }
+    }
+
+    /// Offers core `i`'s next memory record to its channel at CPU cycle
+    /// `probe.at`, decoding the address at most once; on acceptance the
+    /// request is enqueued and the core fetches the record at that
+    /// cycle.
+    fn try_admit(&mut self, i: usize, probe: Probe) -> bool {
+        let kind = kind_of(probe.op);
+        // One channel (Table 3) needs no decode to reject.
+        if self.mcs.len() == 1 && !self.mcs[0].can_accept(kind) {
+            return false;
+        }
+        let decoded = self
+            .cfg
+            .dram
+            .geometry
+            .decode(probe.addr, self.cfg.controller.mapping);
+        let ch = decoded.channel.index();
+        if !self.mcs[ch].can_accept(kind) {
+            return false;
+        }
+        let id = self.mcs[ch].enqueue_decoded(i, kind, decoded);
+        self.cores[i].admit(CpuCycle::new(probe.at), token(id.0, ch, self.mcs.len()));
+        true
+    }
+
+    /// Queue-slot releases summed over the channels.
+    fn release_epoch(&self) -> u64 {
+        self.mcs
+            .iter()
+            .map(MemoryController::queue_release_epoch)
+            .sum()
+    }
+
+    /// The memory cycle at whose start every core has finished — where
+    /// the per-cycle loop stops — or [`NEVER`] while some core's finish
+    /// is still unknown.
+    fn done_step(&self) -> u64 {
+        self.cores
+            .iter()
+            .try_fold(0, |step, c| {
+                let f = c.finish_cycle()?.raw();
+                Some(if c.total_instructions() == 0 {
+                    step
+                } else {
+                    step.max(f / CPU_CYCLES_PER_MC_CYCLE + 1)
+                })
+            })
+            .unwrap_or(NEVER)
     }
 
     /// Aggregates the finished run into a [`SimResult`]. Multi-channel
@@ -955,11 +632,7 @@ impl<S: TraceSink, M: MetricsSink> System<S, M> {
         let core_finish_cpu_cycles: Vec<u64> = self
             .cores
             .iter()
-            .map(|c| {
-                c.finished_at()
-                    .map(|t| t.raw())
-                    .unwrap_or(self.cpu_now.raw())
-            })
+            .map(|c| self.finish_by_now(c).unwrap_or(self.cpu_now.raw()))
             .collect();
         let execution_cpu_cycles = core_finish_cpu_cycles.iter().copied().max().unwrap_or(0);
         let elapsed = self.mc_now();
@@ -1056,6 +729,53 @@ mod tests {
         assert!(r.completed);
         assert_eq!(r.core_finish_cpu_cycles.len(), 2);
         assert!(r.stats.per_core_reads.iter().all(|&c| c > 0));
+    }
+
+    #[test]
+    fn empty_trace_core_finishes_at_cycle_zero() {
+        // A core without instructions must not stretch the execution
+        // time: it finishes at cycle 0 and the other core's run is the
+        // same as if it ran alone.
+        let g = DramGeometry::default();
+        let black = TraceGenerator::new(by_name("black").unwrap(), g, 1).generate(300);
+        let solo = System::new(
+            SystemConfig::with_cores(1),
+            SchedulerKind::Nuat,
+            PbGrouping::paper(5),
+            vec![black.clone()],
+        )
+        .run(20_000_000);
+        for des in [true, false] {
+            let mut sys = System::new(
+                SystemConfig::with_cores(2),
+                SchedulerKind::Nuat,
+                PbGrouping::paper(5),
+                vec![black.clone(), Trace::new(vec![], 0)],
+            );
+            sys.set_des(des);
+            let r = sys.run(20_000_000);
+            assert!(r.completed);
+            assert_eq!(
+                r.core_finish_cpu_cycles,
+                vec![solo.execution_cpu_cycles, 0],
+                "des = {des}"
+            );
+            assert_eq!(r.execution_cpu_cycles, solo.execution_cpu_cycles);
+        }
+    }
+
+    #[test]
+    fn all_empty_traces_run_no_cycles() {
+        let r = System::new(
+            SystemConfig::with_cores(2),
+            SchedulerKind::Nuat,
+            PbGrouping::paper(5),
+            vec![Trace::new(vec![], 0), Trace::new(vec![], 0)],
+        )
+        .run(1_000);
+        assert!(r.completed);
+        assert_eq!((r.mc_cycles, r.execution_cpu_cycles), (0, 0));
+        assert_eq!(r.core_finish_cpu_cycles, vec![0, 0]);
     }
 
     #[test]

@@ -11,15 +11,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --check
 cargo build --release
 cargo test -q
-# Replay the determinism goldens once under forced channel sharding.
-# The event calendar is on by default, so this is also the
-# DES + sharded-barrier replay: workers rendezvous on calendar time
-# and must be byte-identical to the sequential loop (DESIGN.md §7
-# "Channel sharding" / "Unified event calendar").
-NUAT_CHANNEL_JOBS=4 cargo test -q -p nuat-sim --test determinism_guard
-# ... once with the unified event calendar disabled: the per-cycle
-# stepping fallback must produce the same bytes (DESIGN.md §7
-# "Unified event calendar").
+# Replay the determinism goldens once with the unified event calendar
+# disabled: the per-cycle stepping fallback must produce the same
+# bytes (DESIGN.md §7 "Unified event calendar").
 NUAT_NO_DES=1 cargo test -q -p nuat-sim --test determinism_guard
 # ... and once with the ready-set wheel disabled: the legacy full-bank
 # scan must produce the same bytes (DESIGN.md §7 "Incremental ready-set
